@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """End-to-end, two-clock benchmark of the SEPO reproduction.
 
-    python3 e2ebench/run.py --workload patent-spill --seed 1 --seconds 30 --trace 0
+    python3 e2ebench/run.py --workload patent-spill --seed 1 --seconds 50 --trace 0
 
 Runs one workload (``patent-spill``, ``netflix-sharded`` or ``kv-router``;
 see ``workloads.py`` and the README) from the seed, checks every output
@@ -12,8 +12,8 @@ line one JSON object: ``correct``, ``attempted``, ``failed`` and
 Untraced (``--trace 0``) it repeats whole rounds -- set-up, build, read
 phase, check -- until ``--seconds`` have passed and prints the end-to-end
 metrics:
-host rates as medians over rounds, set-up time as the median over every
-set-up, ticket percentiles over every ticket, and the simulated-clock and
+host figures as middle means (see ``middle_mean``) over rounds, set-ups
+or blocks of consecutive requests and tickets, and the simulated-clock and
 table figures, which must repeat exactly from round to round.  Traced
 (``--trace 1``) it runs one untraced round, then one round with the layer
 spans of ``tracing.py`` installed, and prints the per-layer metrics.
@@ -32,8 +32,8 @@ sys.dont_write_bytecode = True
 import argparse  # noqa: E402
 import gc  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import resource  # noqa: E402
-import statistics  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -47,8 +47,11 @@ WORKDIR = ROOT / ".e2ebench"
 WORKLOAD_NAMES = ("patent-spill", "netflix-sharded", "kv-router")
 #: set-ups per round; the round builds with the last one
 SETUPS = 3
-#: tickets per percentile block (at least; ten or more lie beyond p99)
-TICKET_BLOCK = 1000
+#: fewest tickets per percentile block (p99 blocks take 1,000, so that
+#: ten or more lie beyond each block's p99)
+TICKET_BLOCK = 100
+#: read-phase requests per lookup-rate block
+READ_BLOCK = 100
 
 perf = time.perf_counter
 
@@ -138,21 +141,55 @@ def run_round(wl, tracer=None):
     return rnd
 
 
+def blocks(values, size):
+    """``values`` in order, cut into blocks of at least ``size`` each."""
+    values = np.asarray(values, dtype=np.float64)
+    return np.array_split(values, max(1, len(values) // size))
+
+
+def middle_mean(values) -> float:
+    """Mean of the middle half of ``values`` (the interquartile mean).
+
+    The host's speed switches between a fast and a slow state (about 30%
+    apart) that each last from seconds to minutes.  A median lands on
+    whichever state held most of the run; the middle mean moves with the
+    share of the run each state held, so runs that straddle a switch
+    spread less, and it still drops the outliers one stall makes.
+    """
+    v = np.sort(np.asarray(list(values), dtype=np.float64))
+    k = len(v) // 4
+    return float(v[k:len(v) - k].mean())
+
+
 def ticket_percentile(rounds, q):
-    """Median over blocks of consecutive tickets of each block's percentile.
+    """Middle mean over blocks of consecutive tickets of each block's
+    percentile.
 
     The run's tickets, in the order they were issued, are cut into blocks
-    of at least ``TICKET_BLOCK``, so at least ten lie beyond each block's
-    p99, and a burst of host contention that slows one block cannot set
-    the run's tail on its own.
+    of at least ``TICKET_BLOCK`` that hold at least ten tickets beyond
+    ``q`` (1,000 for p99), so a burst of host contention that slows one
+    block cannot set the run's figure on its own.
     """
-    tickets = np.asarray(
-        [t for r in rounds for t in r.tickets_ms], dtype=np.float64
+    size = max(TICKET_BLOCK, math.ceil(1000 / (100 - q)))
+    tickets = [t for r in rounds for t in r.tickets_ms]
+    return middle_mean(
+        float(np.percentile(b, q)) for b in blocks(tickets, size)
     )
-    n_blocks = max(1, len(tickets) // TICKET_BLOCK)
-    return statistics.median(
-        float(np.percentile(block, q))
-        for block in np.array_split(tickets, n_blocks)
+
+
+def lookup_rate(rounds):
+    """Middle mean over blocks of consecutive read-phase requests of each
+    block's keys per host second.
+
+    Like the ticket blocks: many short blocks spread over every round of
+    the run follow the run's typical speed, where one figure per round
+    follows whichever swings of host speed its read phase met.
+    """
+    ms = [t for r in rounds for t in r.read_ms]
+    keys = [k for r in rounds for k in r.read_keys]
+    return middle_mean(
+        k.sum() * 1e3 / t.sum()
+        for k, t in zip(blocks(keys, READ_BLOCK), blocks(ms, READ_BLOCK))
     )
 
 
@@ -172,9 +209,13 @@ def untraced(wl, seconds):
         rounds.append(run_round(wl))
     sim = rounds[0].simulated
     values = {
-        "host_rps": statistics.median(r.host_rps for r in rounds),
-        "setup_s": statistics.median(s for r in rounds for s in r.setup_s),
-        "lookup_rps": statistics.median(r.lookup_rps for r in rounds),
+        "host_rps": middle_mean(
+            n / s
+            for r in rounds
+            for n, s in r.build_parts or [(r.records, r.build_s)]
+        ),
+        "setup_s": middle_mean(s for r in rounds for s in r.setup_s),
+        "lookup_rps": lookup_rate(rounds),
         "ticket_p50_ms": ticket_percentile(rounds, 50),
         "ticket_p99_ms": ticket_percentile(rounds, 99),
         "sim_s": sim["sim_s"],

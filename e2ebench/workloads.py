@@ -18,7 +18,8 @@ table several times device memory, nine SEPO iterations, journaled
 and checksummed); ``netflix-sharded`` is the insert-only combining path
 that fits across four devices and so bypasses eviction, journaling and
 checksums; ``kv-router`` pushes small mixed-op batches through the
-batching router over basic-organization shards.
+batching router over basic-organization shards.  ``BENCHMARK.json`` lists
+the first and the last; ``netflix-sharded`` runs by name (see the README).
 """
 
 from __future__ import annotations
@@ -93,8 +94,14 @@ class Round:
     setup_s: list[float] = field(default_factory=list)
     build_s: float = 0.0
     records: int = 0
+    #: (records, host seconds) of each consecutive part of the build; one
+    #: part, the whole build, unless the workload cuts it finer
+    build_parts: list[tuple[int, float]] = field(default_factory=list)
     read_s: float = 0.0
     keys: int = 0
+    #: per read-phase request, in issue order: host ms and keys asked
+    read_ms: list[float] = field(default_factory=list)
+    read_keys: list[int] = field(default_factory=list)
     tickets_ms: list[float] = field(default_factory=list)
     #: simulated-clock and table figures; must repeat exactly per seed
     simulated: dict[str, Any] = field(default_factory=dict)
@@ -107,10 +114,6 @@ class Round:
     @property
     def host_rps(self) -> float:
         return self.records / self.build_s
-
-    @property
-    def lookup_rps(self) -> float:
-        return self.keys / self.read_s
 
 
 @dataclass
@@ -161,9 +164,11 @@ class Workload:
             answers.append(lookup(keys))
             latencies.append((perf() - ts) * 1e3)
         rnd.read_s = perf() - t0
+        rnd.read_ms = latencies
+        rnd.read_keys = [len(q) for q in self.queries]
         if self.read_tickets:
             rnd.tickets_ms.extend(latencies)
-        rnd.keys = sum(len(q) for q in self.queries)
+        rnd.keys = sum(rnd.read_keys)
         # simulated device time of the read phase, summed over shards: the
         # makespan (busiest shard) moved 9% between kv-router seeds because
         # the seed decides which shard the op stream leaves busiest; the
@@ -457,6 +462,8 @@ class KvRouter(Workload):
     CLIENT_BATCH = 32
     CHUNK_RECORDS = 64
     MAX_PENDING = 512
+    #: client batches per part of the build (~0.25 s)
+    BUILD_BLOCK = 100
     read_tickets = False
 
     def __init__(self, seed, small, impl, workdir: Path):
@@ -524,13 +531,16 @@ class KvRouter(Workload):
 
     def build(self, ctx, rnd):
         router = ctx.router
+        batches = ctx.state["batches"]
         waiting: list = []
         latencies = rnd.tickets_ms
+        marks = []
         t0 = perf()
-        for batch in ctx.state["batches"]:
+        for batch in batches:
             ts = perf()
             ticket = router.submit(batch)
             now = perf()
+            marks.append(now)
             waiting.append((ticket, ts))
             if any(t.done for t, _ in waiting):
                 still = []
@@ -545,6 +555,18 @@ class KvRouter(Workload):
         rnd.build_s = end - t0
         latencies.extend((end - s) * 1e3 for _, s in waiting)
         rnd.records = len(self.ops)
+        # parts of BUILD_BLOCK client batches, the last ending when
+        # drain() returns: host speed bursts last a fraction of a second,
+        # and one figure per build follows whichever bursts it met
+        marks[-1] = end
+        times = [t0] + marks
+        ops = np.cumsum([0] + [len(b) for b in batches])
+        n_parts = max(1, len(batches) // self.BUILD_BLOCK)
+        cuts = np.linspace(0, len(batches), n_parts + 1).astype(int)
+        rnd.build_parts = [
+            (int(ops[b] - ops[a]), times[b] - times[a])
+            for a, b in zip(cuts, cuts[1:])
+        ]
         ctx.state["stream_results"] = results
         ctx.state["build_sim_s"] = ctx.executor.schedule.makespan_seconds
 
